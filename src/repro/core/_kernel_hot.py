@@ -1,12 +1,10 @@
 """Decision-kernel hot path: flat-array candidate build and scoring.
 
-This module is the *one* module the optional compiled kernel build
-(``REPRO_KERNEL=compiled``, see :mod:`repro.core.kernel`) compiles; it
-deliberately contains nothing but data holders and straight-line
-functions so mypyc can translate it without semantic surprises.  The
-pure-Python text you are reading is the default **and the reference**:
-the compiled clone must be byte-identical in behaviour or the
-kernel-consistency tests fail.
+This module holds nothing but data holders and straight-line functions
+with no engine imports; :mod:`repro.core.kernel` re-exports them and
+decides whether the strategies take this path at all
+(``REPRO_KERNEL=reference`` keeps them on the scalar object walk, the
+semantic oracle the kernel-equivalence tests hold this module to).
 
 Design (ROADMAP "10-100x the decision kernel with array-based
 batching"):
@@ -31,8 +29,8 @@ batching"):
   :meth:`repro.core.cost.CostModel.score` arithmetic term for term —
   operation order included, so scores (and therefore dispatch order)
   are byte-identical with the scalar model.  The hypothesis drift guard
-  in ``tests/core/test_cost_properties.py`` pins all three copies
-  (``score``, ``breakdown``, packed) together.
+  in ``tests/core/test_cost_properties.py`` pins the packed scorer to
+  ``score`` (and ``score`` to ``breakdown``, which shares its terms).
 """
 
 from __future__ import annotations

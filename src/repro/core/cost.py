@@ -80,22 +80,34 @@ class CostModel:
         size, mode, aggregation = self._assembly(plan)
         return plan.driver.occupancy(size, mode, aggregation)
 
-    def score(self, plan: TransferPlan, now: float) -> float:
-        """Value density of the plan (higher is better); see module docs."""
+    def _terms(self, plan: TransferPlan, now: float) -> tuple:
+        """Every term of :meth:`score`, computed once, in its float order.
+
+        ``(wire_bytes, payload, control_bonus, saved, occupancy,
+        density, oldest_wait, boost)`` — :meth:`breakdown` reports the
+        same floats the ranking used, to the last bit.
+        """
         driver = plan.driver
         size, mode, aggregation = self._assembly(plan)
         occupancy = driver.occupancy(size, mode, aggregation)
         payload = float(plan.payload_bytes)
-        if plan.kind.is_control:
-            payload += self.control_bonus_bytes
+        control_bonus = self.control_bonus_bytes if plan.kind.is_control else 0.0
         link = driver.nic.link
         startup_equivalent = link.startup(mode) * link.bandwidth(mode)
         saved = len(plan.items) * startup_equivalent
-        density = (payload + saved) / occupancy
+        density = (payload + control_bonus + saved) / occupancy
         oldest_wait = max(
             (now - item.entry.submit_time for item in plan.items), default=0.0
         )
         boost = 1.0 + min(max(oldest_wait, 0.0) / self.starvation_horizon, 1.0)
+        return (
+            size, payload, control_bonus, saved, occupancy, density,
+            oldest_wait, boost,
+        )
+
+    def score(self, plan: TransferPlan, now: float) -> float:
+        """Value density of the plan (higher is better); see module docs."""
+        _, _, _, _, _, density, _, boost = self._terms(plan, now)
         return density * boost
 
     def score_packed(
@@ -126,21 +138,12 @@ class CostModel:
         """The :meth:`score` computation, term by term.
 
         Explainability only (the ``optimizer.decide`` trace record) —
-        never called on the NullTracer fast path, so it repeats the
-        arithmetic instead of complicating :meth:`score`.
+        never called on the NullTracer fast path.
         """
-        driver = plan.driver
-        size, mode, aggregation = self._assembly(plan)
-        occupancy = driver.occupancy(size, mode, aggregation)
-        payload = float(plan.payload_bytes)
-        control_bonus = self.control_bonus_bytes if plan.kind.is_control else 0.0
-        link = driver.nic.link
-        saved = len(plan.items) * link.startup(mode) * link.bandwidth(mode)
-        density = (payload + control_bonus + saved) / occupancy
-        oldest_wait = max(
-            (now - item.entry.submit_time for item in plan.items), default=0.0
-        )
-        boost = 1.0 + min(max(oldest_wait, 0.0) / self.starvation_horizon, 1.0)
+        (
+            size, payload, control_bonus, saved, occupancy, density,
+            oldest_wait, boost,
+        ) = self._terms(plan, now)
         return {
             "wire_bytes": float(size),
             "payload_bytes": payload,

@@ -1,22 +1,19 @@
 """Decision-kernel backend selection and driver-constant folding.
 
 The hot functions live in :mod:`repro.core._kernel_hot` (one module, no
-engine imports, so an ahead-of-time compiler can translate it whole).
-This facade picks which copy of that module the strategies actually run,
-driven by the ``REPRO_KERNEL`` environment variable:
+engine imports); this facade re-exports them and decides whether the
+strategies run them at all, driven by the ``REPRO_KERNEL`` environment
+variable:
 
 ``python`` (default)
     The batched pure-Python kernel — flat-array candidate builds and
-    packed scoring.  This is the reference implementation.
-``compiled``
-    A mypyc-built clone of the kernel module
-    (``repro.core._kernel_hot_c``, produced by ``tools/build_kernel.py``).
-    Falls back to ``python`` with a warning when no compiled module is
-    importable — the container toolchain is never required.
+    packed scoring.
 ``reference``
     Disables array batching entirely: strategies walk ``SubmitEntry``
     objects and score materialized plans exactly as before the batching
     refactor.  Kept as the semantic oracle for the equivalence tests.
+
+Any other value warns and selects ``python``.
 
 The batched path additionally requires the driver/link/cost types to use
 the *stock* method implementations (:func:`constants_for` checks this);
@@ -29,7 +26,15 @@ import os
 import warnings
 from typing import TYPE_CHECKING
 
-from repro.core import _kernel_hot as _pure
+from repro.core._kernel_hot import (
+    DriverConstants,
+    PendingArrays,
+    SeedBuild,
+    build_eager_arrays,
+    oversized_waiting_indices,
+    probe_uniform_seeds,
+    score_eager_packed,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.drivers.base import Driver
@@ -47,12 +52,12 @@ __all__ = [
     "constants_for",
 ]
 
-KERNEL_BACKENDS = ("python", "compiled", "reference")
+KERNEL_BACKENDS = ("python", "reference")
 
 _ENV_VAR = "REPRO_KERNEL"
 
 
-def _resolve_backend() -> tuple[str, object]:
+def _resolve_backend() -> str:
     requested = os.environ.get(_ENV_VAR, "python").strip().lower() or "python"
     if requested not in KERNEL_BACKENDS:
         warnings.warn(
@@ -61,32 +66,11 @@ def _resolve_backend() -> tuple[str, object]:
             RuntimeWarning,
             stacklevel=2,
         )
-        return "python", _pure
-    if requested == "compiled":
-        try:
-            from repro.core import _kernel_hot_c as compiled  # type: ignore[attr-defined]
-        except ImportError:
-            warnings.warn(
-                f"{_ENV_VAR}=compiled requested but no compiled kernel module "
-                "is installed (run tools/build_kernel.py); falling back to "
-                "the pure-Python kernel",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return "python", _pure
-        return "compiled", compiled
-    return requested, _pure
+        return "python"
+    return requested
 
 
-ACTIVE_BACKEND, _impl = _resolve_backend()
-
-PendingArrays = _impl.PendingArrays  # type: ignore[attr-defined]
-DriverConstants = _impl.DriverConstants  # type: ignore[attr-defined]
-SeedBuild = _impl.SeedBuild  # type: ignore[attr-defined]
-build_eager_arrays = _impl.build_eager_arrays  # type: ignore[attr-defined]
-probe_uniform_seeds = _impl.probe_uniform_seeds  # type: ignore[attr-defined]
-oversized_waiting_indices = _impl.oversized_waiting_indices  # type: ignore[attr-defined]
-score_eager_packed = _impl.score_eager_packed  # type: ignore[attr-defined]
+ACTIVE_BACKEND = _resolve_backend()
 
 
 def batching_enabled() -> bool:

@@ -39,6 +39,13 @@ class AggregationStrategy(Strategy):
             if self.max_items is not None
             else driver.max_segments_per_packet()
         )
+        return self._walk(engine, driver, limit)
+
+    @staticmethod
+    def _walk(
+        engine: "CommEngineBase", driver: Driver, limit: int
+    ) -> TransferPlan | None:
+        """The first plan of at most ``limit`` items, in queue order."""
         for queue in engine.queues_for(driver):
             # O(1) emptiness probe; the builder materializes the window
             # itself (array mirror when batching is enabled, object

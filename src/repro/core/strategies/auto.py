@@ -98,12 +98,17 @@ class AutoStrategy(Strategy):
             return raw, 0
         return self._last_regime, contrary
 
+    def _commit_regime(self, regime: str, contrary: int) -> None:
+        """Record that this decision served ``regime``."""
+        self._contrary = contrary
+        self.selections[regime] += 1
+        self._last_regime = regime
+
     def make_plan(
         self, engine: "CommEngineBase", driver: Driver
     ) -> TransferPlan | Hold | None:
-        regime, self._contrary = self._resolve_regime(engine.waiting.total_pending)
-        self.selections[regime] += 1
-        self._last_regime = regime
+        regime, contrary = self._resolve_regime(engine.waiting.total_pending)
+        self._commit_regime(regime, contrary)
         if regime == "deep":
             return self._aggregate.make_plan(engine, driver)
         return self._nagle.make_plan(engine, driver)

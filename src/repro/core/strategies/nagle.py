@@ -46,20 +46,34 @@ class NagleStrategy(Strategy):
     def make_plan(
         self, engine: "CommEngineBase", driver: Driver
     ) -> TransferPlan | Hold | None:
-        decision = self.inner.make_plan(engine, driver)
+        return self._hold(engine, self.inner.make_plan(engine, driver))
+
+    def _hold_params(self, config) -> tuple[float, int]:
+        """The (delay, min_bytes) pair in force under ``config``."""
+        return (
+            self.delay if self.delay is not None else config.nagle_delay,
+            self.min_bytes if self.min_bytes is not None else config.nagle_min_bytes,
+        )
+
+    def _hold(self, engine: "CommEngineBase", decision, params=None):
+        """The hold test: ``decision`` itself, or a :class:`Hold` for it.
+
+        Anything but an eager plan passes through untouched.  ``params``
+        is the (delay, min_bytes) pair; ``None`` resolves it from the
+        engine config.
+        """
         if not isinstance(decision, TransferPlan):
             return decision
         if decision.kind is not PacketKind.EAGER:
             return decision
-        delay = self.delay if self.delay is not None else engine.config.nagle_delay
+        delay, min_bytes = (
+            params if params is not None else self._hold_params(engine.config)
+        )
         if delay <= 0:
             # Holding disabled (the default): skip the byte-count probe
             # entirely — ``payload_bytes`` sums the plan's items, and
             # this wrapper sits on the per-decision hot path.
             return decision
-        min_bytes = (
-            self.min_bytes if self.min_bytes is not None else engine.config.nagle_min_bytes
-        )
         if decision.payload_bytes >= min_bytes:
             return decision
         oldest = min(item.entry.submit_time for item in decision.items)

@@ -84,27 +84,41 @@ class BoundedSearchStrategy(Strategy):
     def make_plan(
         self, engine: "CommEngineBase", driver: Driver
     ) -> TransferPlan | Hold | None:
-        budget = self.budget if self.budget is not None else engine.config.search_budget
+        config = engine.config
+        budget = self.budget if self.budget is not None else config.search_budget
         queues = engine.queues_for(driver)
-        if (
-            _BATCHING_ENABLED
-            and type(engine.cost) is CostModel
-            and kernel.constants_for(driver).exact
-        ):
-            return self._make_plan_batched(engine, driver, budget, queues)
+        if _BATCHING_ENABLED and type(engine.cost) is CostModel:
+            consts = kernel.constants_for(driver)
+            if consts.exact:
+                return self._search_batched(
+                    engine, driver, queues, consts, budget,
+                    config.lookahead_window, config.stripe_chunk,
+                    len(engine.drivers) > 1, self._widths(consts.max_items_cap),
+                )
         return self._make_plan_reference(engine, driver, budget, queues)
 
     # ------------------------------------------------------------------
     # batched kernel path (default)
     # ------------------------------------------------------------------
-    def _make_plan_batched(
-        self, engine: "CommEngineBase", driver: Driver, budget: int, queues
+    def _search_batched(
+        self,
+        engine: "CommEngineBase",
+        driver: Driver,
+        queues,
+        consts,
+        budget: int,
+        window_limit: int,
+        stripe_chunk: int,
+        multirail: bool,
+        widths: tuple[int, ...],
     ) -> TransferPlan | None:
-        consts = kernel.constants_for(driver)
-        config = engine.config
-        window_limit = config.lookahead_window
-        stripe_chunk = config.stripe_chunk
-        multirail = len(engine.drivers) > 1
+        """The batched search body, given its per-decision values.
+
+        Everything a decision derives from the driver and the engine
+        config arrives as an argument, so a caller that has those
+        values already (the tuner's specializations) runs this very
+        body instead of a copy of it.
+        """
         cost = engine.cost
         driver_key = id(driver)
 
@@ -136,7 +150,6 @@ class BoundedSearchStrategy(Strategy):
         out_of_budget = False
         explain = engine.sim.tracer.enabled
         full_width = consts.max_items_cap
-        widths = self._widths(full_width)
         SeedBuild = kernel.SeedBuild
         score_packed = cost.score_packed
         try:

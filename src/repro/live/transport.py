@@ -40,6 +40,7 @@ Three layers live here, all shared by the peer processes and the tests:
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import zlib
 from typing import Any, Callable, Iterable
@@ -352,6 +353,16 @@ def ack_frame(src: str, dst: str, seqs: Iterable[int], *, wrap: bool = True) -> 
 # --------------------------------------------------------------------------
 
 
+def _optional_field(descriptor: dict[str, Any], key: str, types: tuple, default: Any) -> Any:
+    """``descriptor[key]``, ``default`` when absent or null; WireError if ill-typed."""
+    value = descriptor.get(key)
+    if value is None:
+        return default
+    if type(value) not in types:
+        raise WireError(f"segment descriptor {key} has ill-typed value {value!r}")
+    return value
+
+
 class MirrorReceiver:
     """Rebuilds message/fragment skeletons for packets arriving by socket.
 
@@ -405,6 +416,8 @@ class MirrorReceiver:
             layout = descriptor["layout"]
         except KeyError as missing:
             raise WireError(f"segment descriptor missing {missing}") from None
+        if type(sender_mid) is not int or type(index) is not int:
+            raise WireError(f"segment descriptor msg/idx not integers: {sender_mid!r}/{index!r}")
         message = self._mirrors.get((src, sender_mid))
         if message is None:
             message = self._make_mirror(src, sender_mid, flow_id, layout, descriptor)
@@ -423,6 +436,17 @@ class MirrorReceiver:
         layout: list,
         descriptor: dict[str, Any],
     ) -> Message:
+        # Checked once per mirrored message; later slices of the same
+        # message only need their own msg/idx (see _mirror_fragment).
+        if type(flow_id) is not int:
+            raise WireError(f"segment descriptor flow must be an integer, got {flow_id!r}")
+        submit = _optional_field(descriptor, "submit", (int, float), 0.0)
+        if not math.isfinite(submit):
+            raise WireError(f"segment descriptor submit must be finite, got {submit!r}")
+        seq = _optional_field(descriptor, "seq", (int,), 0)
+        context = _optional_field(descriptor, "ctx", (dict,), {})
+        if type(layout) is not list:
+            raise WireError(f"segment descriptor layout must be a list, got {layout!r}")
         flow = self._flow_lookup(flow_id)
         if flow is None:
             raise ProtocolError(
@@ -441,18 +465,25 @@ class MirrorReceiver:
         message.message_id = next(self._mirror_ids)
         message.flow = flow
         message.fragments = []
-        message.submit_time = float(descriptor.get("submit") or 0.0)
+        message.submit_time = float(submit)
         message.completion = Future()
-        message.seq = int(descriptor.get("seq") or 0)
-        message.context = descriptor.get("ctx") or {}
+        message.seq = seq
+        message.context = context
         for i, entry in enumerate(layout):
-            try:
-                size, express = int(entry[0]), bool(entry[1])
-            except (TypeError, ValueError, IndexError):
-                raise WireError(f"malformed layout entry {entry!r}") from None
+            if (
+                type(entry) is not list
+                or len(entry) != 2
+                or type(entry[0]) is not int
+                or entry[0] <= 0
+                or type(entry[1]) is not int
+                or entry[1] not in (0, 1)
+            ):
+                raise WireError(f"malformed layout entry {entry!r}")
             # Fragment.__init__ does not append; preserve the Message
             # invariant that fragments[i].index == i.
-            message.fragments.append(Fragment(message, i, size, PackMode.CHEAPER, express))
+            message.fragments.append(
+                Fragment(message, i, entry[0], PackMode.CHEAPER, entry[1] == 1)
+            )
         self._mirrors[(src, sender_mid)] = message
         self._origins[message.message_id] = (src, sender_mid)
         return message

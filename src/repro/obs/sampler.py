@@ -16,9 +16,7 @@ occupancy — then
 The sampler keeps itself alive only while the simulation is: with no
 ``horizon`` it stops rescheduling once its own tick is the last event
 in the queue, so finite workloads still drain under
-``run_until_idle`` (same termination rule as
-:class:`repro.runtime.sampling.PeriodicSampler`, which remains the
-lightweight registry-less alternative).
+``run_until_idle``.
 """
 
 from __future__ import annotations

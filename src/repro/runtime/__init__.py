@@ -9,15 +9,12 @@ executes a workload and returns a :class:`~repro.runtime.metrics.SessionReport`.
 
 from repro.runtime.cluster import Cluster
 from repro.runtime.metrics import MessageRecord, MetricsCollector, SessionReport
-from repro.runtime.sampling import PeriodicSampler, Sample
 from repro.runtime.session import run_session
 
 __all__ = [
     "Cluster",
     "MessageRecord",
     "MetricsCollector",
-    "PeriodicSampler",
-    "Sample",
     "SessionReport",
     "run_session",
 ]

@@ -1,14 +1,19 @@
-"""Regime specializations: synthesized fast-path decision functions.
+"""Regime specializations: decision closures with their inputs folded.
 
 When the :class:`~repro.tuner.regime.RegimeTracker` declares a regime
 stable, the tuner synthesizes a **specialized** decision function for
 the engine's strategy: a closure with everything that cannot change
-while the regime holds folded into its environment — resolved driver
+while the regime holds resolved into its environment — driver
 capabilities (cost constants, max aggregation width), engine-config
 values (lookahead window, search budget, stripe chunk), the
 precomputed width ladder, the multirail flag.  The general path
 re-derives all of this on *every* decision; the specialized path pays
 for it once at synthesis time.
+
+A closure only folds values and checks guards; the decision itself is
+the strategy's own code (``_search_batched``, ``_walk``, ``_hold``,
+``_commit_regime``), called with the folded values.  There is one body
+per decision algorithm, and this module holds none of them.
 
 Correctness contract (pinned by the hypothesis property tests):
 
@@ -25,7 +30,10 @@ Correctness contract (pinned by the hypothesis property tests):
 
 ``tuner: off`` installs no wrapper at all, so the escape hatch is not
 "a disabled branch" but the literal absence of this module from the
-hot path.
+hot path.  The module keeps its name although it no longer holds
+decision code: the end-to-end benchmark's layer map
+(``perfbench/layers.py``) wraps ``TunedStrategy.make_plan`` here to
+attribute tuner time.
 """
 
 from __future__ import annotations
@@ -36,14 +44,12 @@ from repro.core import kernel
 from repro.core.cost import CostModel
 from repro.core.plan import Hold, TransferPlan
 from repro.core.strategies import search as search_mod
-from repro.core.strategies._builder import build_from_queue
 from repro.core.strategies.aggregation import AggregationStrategy
 from repro.core.strategies.auto import AutoStrategy
 from repro.core.strategies.base import Strategy
 from repro.core.strategies.nagle import NagleStrategy
 from repro.core.strategies.search import BoundedSearchStrategy
 from repro.drivers.base import Driver
-from repro.network.wire import PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import CommEngineBase
@@ -115,13 +121,7 @@ def _aggregate_fn(
     def fn(engine: "CommEngineBase") -> Any:
         if strat.max_items != folded_max:
             return MISS
-        for queue in engine.queues_for(driver):
-            if not len(queue):
-                continue
-            plan = build_from_queue(engine, driver, queue, max_items=limit)
-            if plan is not None:
-                return plan
-        return None
+        return strat._walk(engine, driver, limit)
 
     return fn
 
@@ -133,36 +133,14 @@ def _nagle_fn(
     inner_fn: Callable[["CommEngineBase"], Any],
 ) -> Callable[["CommEngineBase"], Any]:
     """Nagle wrapper with delay/min-bytes resolution folded + guarded."""
-    config = engine.config
-    delay = strat.delay if strat.delay is not None else config.nagle_delay
-    min_bytes = (
-        strat.min_bytes if strat.min_bytes is not None else config.nagle_min_bytes
-    )
+    params = strat._hold_params(engine.config)
 
     def fn(engine: "CommEngineBase") -> Any:
-        cfg = engine.config
-        if (
-            (strat.delay if strat.delay is not None else cfg.nagle_delay) != delay
-            or (
-                strat.min_bytes
-                if strat.min_bytes is not None
-                else cfg.nagle_min_bytes
-            )
-            != min_bytes
-        ):
+        if strat._hold_params(engine.config) != params:
             return MISS
-        decision = inner_fn(engine)
-        if decision is MISS or not isinstance(decision, TransferPlan):
-            return decision
-        if decision.kind is not PacketKind.EAGER or delay <= 0:
-            return decision
-        if decision.payload_bytes >= min_bytes:
-            return decision
-        oldest = min(item.entry.submit_time for item in decision.items)
-        deadline = oldest + delay
-        if engine.sim.now >= deadline:
-            return decision
-        return Hold(wake_at=deadline)
+        # A MISS from the inner closure is not a plan: the hold test
+        # passes it through untouched.
+        return strat._hold(engine, inner_fn(engine), params)
 
     return fn
 
@@ -176,7 +154,6 @@ def _auto_fn(
     backlog crosses the threshold the closure declines and the general
     path (which handles both regimes) serves the decision.
     """
-    selections = strat.selections
     agg = _aggregate_fn(strat._aggregate, engine, driver)
     inner_fn = (
         agg if regime == "deep" else _nagle_fn(strat._nagle, engine, driver, agg)
@@ -191,9 +168,7 @@ def _auto_fn(
         result = inner_fn(engine)
         if result is MISS:
             return MISS
-        strat._contrary = contrary
-        selections[regime] += 1
-        strat._last_regime = regime
+        strat._commit_regime(regime, contrary)
         return result
 
     return fn
@@ -202,39 +177,30 @@ def _auto_fn(
 def _search_fn(
     strat: BoundedSearchStrategy, engine: "CommEngineBase", driver: Driver
 ) -> Callable[["CommEngineBase"], Any] | None:
-    """Bounded search with the whole batched-kernel prologue folded.
+    """Bounded search with the batched body's arguments folded.
 
-    This is a clone of
-    :meth:`~repro.core.strategies.search.BoundedSearchStrategy._make_plan_batched`
-    with everything the general path recomputes per decision hoisted to
-    synthesis time: driver cost constants, width ladder, config values,
-    the multirail flag, bound methods.  The score cache, budget
-    counters, and explain fields are the strategy's own, so specialized
-    and general calls interleave without observable difference.
+    Everything :meth:`BoundedSearchStrategy.make_plan` derives before
+    calling :meth:`~BoundedSearchStrategy._search_batched` — driver
+    cost constants, width ladder, budget, config values, the multirail
+    flag — is resolved once here and guarded per decision; the closure
+    then runs the strategy's own body, so the score cache, budget
+    counters and explain fields are shared with the general path.
     """
+    consts = kernel.constants_for(driver)
     if not (
         search_mod._BATCHING_ENABLED
         and type(engine.cost) is CostModel
-        and kernel.constants_for(driver).exact
+        and consts.exact
     ):
         return None  # reference-kernel mode: keep the semantic oracle pure
 
-    consts = kernel.constants_for(driver)
     config = engine.config
     window_limit = config.lookahead_window
     stripe_chunk = config.stripe_chunk
     multirail = len(engine.drivers) > 1
     cost = engine.cost
-    driver_key = id(driver)
-    full_width = consts.max_items_cap
-    widths = strat._widths(full_width)
+    widths = strat._widths(consts.max_items_cap)
     folded_budget = strat.budget if strat.budget is not None else config.search_budget
-    SeedBuild = kernel.SeedBuild
-    score_packed = cost.score_packed
-    score = cost.score
-    probe_uniform_seeds = kernel.probe_uniform_seeds
-    build_eager_arrays = kernel.build_eager_arrays
-    oversized_waiting_indices = kernel.oversized_waiting_indices
 
     def fn(engine: "CommEngineBase") -> Any:
         cfg = engine.config
@@ -247,201 +213,10 @@ def _search_fn(
             or engine.cost is not cost
         ):
             return MISS
-
-        queues = engine.queues_for(driver)
-        for queue in queues:
-            arrays = queue.pending_arrays(window_limit)
-            if arrays.n:
-                for i in oversized_waiting_indices(arrays, consts):
-                    engine.park_for_rendezvous(arrays.entries[i], queue.channel_id)
-
-        now = engine.sim.now
-        if now != strat._cache_now:
-            strat._score_cache.clear()
-            strat._cache_now = now
-        cache = strat._score_cache
-
-        best_plan: TransferPlan | None = None
-        best_score = float("-inf")
-        best_key: tuple | None = None
-        best_build = None
-        best_probe: tuple | None = None
-        best_n = 0
-        best_meta: tuple | None = None
-        widest_seen = 0
-        evaluated = 0
-        out_of_budget = False
-        explain = engine.sim.tracer.enabled
-        try:
-            for queue in queues:
-                arrays = queue.pending_arrays(window_limit)
-                version = queue.version
-                channel_id = queue.channel_id
-
-                stats = probe_uniform_seeds(
-                    arrays, consts, full_width, widths, budget - evaluated
-                )
-                if stats is not None:
-                    for seed, (base_items, payload, oldest, snaps) in enumerate(
-                        stats
-                    ):
-                        if evaluated >= budget:
-                            out_of_budget = True
-                            break
-                        evaluated += 1
-                        if explain and base_items > widest_seen:
-                            widest_seen = base_items
-                        first = True
-                        for width in widths:
-                            if not first:
-                                if evaluated >= budget:
-                                    out_of_budget = True
-                                    break
-                                evaluated += 1
-                            first = False
-                            n_items = base_items if width >= base_items else width
-                            key = (driver_key, channel_id, version, seed, n_items)
-                            cached = cache.get(key)
-                            if cached is None:
-                                if n_items == base_items:
-                                    p, o = payload, oldest
-                                else:
-                                    p = -1
-                                    o = 0.0
-                                    for cut_n, cut_p, cut_o in snaps:
-                                        if cut_n == n_items:
-                                            p, o = cut_p, cut_o
-                                            break
-                                    assert p >= 0, "probe width cut missing"
-                                cached = (
-                                    score_packed(consts, n_items, p, o, now),
-                                    None,
-                                )
-                                cache[key] = cached
-                            c_score, plan = cached
-                            if c_score > best_score:
-                                best_score = c_score
-                                best_plan = plan
-                                best_key = key
-                                best_build = None
-                                best_probe = (arrays, channel_id, seed)
-                                best_n = n_items
-                                if explain:
-                                    best_meta = (channel_id, seed, n_items)
-                        if out_of_budget:
-                            break
-                    else:
-                        if len(stats) < arrays.n:
-                            if evaluated >= budget:
-                                out_of_budget = True
-                            else:
-                                evaluated += 1
-                    if out_of_budget:
-                        break
-                    continue
-
-                for seed in range(arrays.n):
-                    if evaluated >= budget:
-                        out_of_budget = True
-                        break
-                    base = build_eager_arrays(
-                        arrays,
-                        consts,
-                        engine,
-                        driver,
-                        channel_id,
-                        full_width,
-                        seed,
-                        False,
-                        stripe_chunk,
-                        multirail,
-                    )
-                    evaluated += 1
-                    if base is None:
-                        break
-                    is_prefix_family = type(base) is SeedBuild
-                    base_items = (
-                        base.n_items if is_prefix_family else len(base.items)
-                    )
-                    if explain and base_items > widest_seen:
-                        widest_seen = base_items
-                    first = True
-                    for width in widths:
-                        if not first:
-                            if evaluated >= budget:
-                                out_of_budget = True
-                                break
-                            evaluated += 1
-                        first = False
-                        n_items = base_items if width >= base_items else width
-                        key = (driver_key, channel_id, version, seed, n_items)
-                        cached = cache.get(key)
-                        if cached is None:
-                            if is_prefix_family:
-                                cached = (
-                                    score_packed(
-                                        consts,
-                                        n_items,
-                                        base.payload_prefix[n_items - 1],
-                                        base.oldest_prefix[n_items - 1],
-                                        now,
-                                    ),
-                                    None,
-                                )
-                            else:
-                                cached = (score(base, now), base)
-                            cache[key] = cached
-                        c_score, plan = cached
-                        if c_score > best_score:
-                            best_score = c_score
-                            best_plan = plan
-                            best_key = key
-                            best_build = base if is_prefix_family else None
-                            best_probe = None
-                            best_n = n_items
-                            if explain:
-                                best_meta = (channel_id, seed, n_items)
-                    if out_of_budget:
-                        break
-                if out_of_budget:
-                    break
-            if best_key is None:
-                return None
-            if best_plan is None:
-                if best_build is None:
-                    assert best_probe is not None
-                    p_arrays, p_channel, p_seed = best_probe
-                    best_build = build_eager_arrays(
-                        p_arrays,
-                        consts,
-                        engine,
-                        driver,
-                        p_channel,
-                        full_width,
-                        p_seed,
-                        False,
-                        stripe_chunk,
-                        multirail,
-                    )
-                    assert type(best_build) is SeedBuild
-                best_plan = best_build.plan(best_n)
-                cache[best_key] = (best_score, best_plan)
-            return best_plan
-        finally:
-            strat.last_evaluated = evaluated
-            strat.candidates_evaluated += evaluated
-            if explain:
-                strat._last_explain = {
-                    "candidates": evaluated,
-                    "budget": budget,
-                    "truncation": "budget" if out_of_budget else "exhausted",
-                    "widest_items": widest_seen,
-                    "best_score": best_score if best_key is not None else None,
-                    "seed_channel": best_meta[0] if best_meta else None,
-                    "seed": best_meta[1] if best_meta else None,
-                }
-            else:
-                strat._last_explain = None
+        return strat._search_batched(
+            engine, driver, engine.queues_for(driver), consts, budget,
+            window_limit, stripe_chunk, multirail, widths,
+        )
 
     return fn
 

@@ -9,10 +9,7 @@ hold the two implementations together:
 * builder equivalence over randomized mixed windows (hypothesis);
 * search equivalence: same winner, same ``candidates_evaluated``,
   across a (depth × budget) grid;
-* whole-run dispatch-order equivalence on scaled-down E2/E5 workloads;
-* the same whole-run checks against the compiled kernel
-  (``repro.core._kernel_hot_c``) when one is installed, skipped
-  otherwise.
+* whole-run dispatch-order equivalence on scaled-down E2/E5 workloads.
 
 The reference path is selected in-process by clearing the strategies'
 module-level batching flags — exactly what ``REPRO_KERNEL=reference``
@@ -25,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernel
 from repro.core.config import EngineConfig
 from repro.core.strategies import _builder
 from repro.core.strategies import search as search_mod
@@ -281,43 +277,3 @@ class TestDispatchOrderEquivalence:
         assert batched, "workload produced no dispatches"
         reference_mode()
         assert batched == _run_e5_like(budget)
-
-
-# ----------------------------------------------------------------------
-# compiled kernel (REPRO_KERNEL=compiled), when one is installed
-# ----------------------------------------------------------------------
-@pytest.fixture
-def compiled_kernel(monkeypatch):
-    """Swap the kernel facade onto the compiled module, if importable."""
-    compiled = pytest.importorskip(
-        "repro.core._kernel_hot_c",
-        reason="no compiled kernel built (tools/build_kernel.py)",
-    )
-    for name in (
-        "PendingArrays",
-        "DriverConstants",
-        "SeedBuild",
-        "build_eager_arrays",
-        "probe_uniform_seeds",
-        "oversized_waiting_indices",
-        "score_eager_packed",
-    ):
-        monkeypatch.setattr(kernel, name, getattr(compiled, name))
-    yield compiled
-
-
-class TestCompiledKernelConsistency:
-    def test_e2_dispatch_order_identical(self, compiled_kernel, reference_mode):
-        compiled = _run_e2_like()
-        assert compiled, "workload produced no dispatches"
-        reference_mode()
-        assert compiled == _run_e2_like()
-
-    def test_search_matches_reference(self, compiled_kernel, reference_mode):
-        engine_c, strat_c = _loaded_search_engine(64, 32, [256, 900])
-        plan_c = strat_c.make_plan(engine_c, engine_c.drivers[0])
-        reference_mode()
-        engine_r, strat_r = _loaded_search_engine(64, 32, [256, 900])
-        plan_r = strat_r.make_plan(engine_r, engine_r.drivers[0])
-        assert plan_signature(plan_c) == plan_signature(plan_r)
-        assert strat_c.last_evaluated == strat_r.last_evaluated

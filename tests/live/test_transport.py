@@ -4,6 +4,8 @@ import asyncio
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.live.loop import LiveClock
 from repro.live.transport import (
@@ -19,8 +21,14 @@ from repro.live.transport import (
     wrap_frame,
 )
 from repro.madeleine.message import Flow, Message
-from repro.network.wire import PacketKind, WirePacket, WireSegment, encode_frame
-from repro.util.errors import ProtocolError, SimulationError, WireError
+from repro.network.wire import (
+    PacketKind,
+    WirePacket,
+    WireSegment,
+    decode_frame,
+    encode_frame,
+)
+from repro.util.errors import ProtocolError, ReproError, SimulationError, WireError
 
 
 def _ctrl_frame(meta=None):
@@ -138,6 +146,35 @@ def _sent_packet(flow, size=128):
     return message, packet
 
 
+def _reframed(packet, field, value):
+    """The packet's frame, CRC-valid, with one descriptor field replaced."""
+    frame = StreamDecoder().feed(encode_live_packet(packet))[0]
+    seg = frame.segments[0]
+    descriptor = dict(seg.descriptor, **{field: value})
+    return decode_frame(
+        encode_frame(
+            frame.kind,
+            frame.src,
+            frame.dst,
+            frame.channel_id,
+            frame.meta,
+            [(descriptor, seg.offset, seg.length, seg.data)],
+        )
+    )
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
 class TestMirrorReceiver:
     def _pair(self, flow):
         """A receiver wired to resolve exactly ``flow``."""
@@ -243,6 +280,39 @@ class TestMirrorReceiver:
         mirror = MirrorReceiver("n2", lambda fid: flow)
         with pytest.raises(ProtocolError):
             mirror.packet_from_frame(frame)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("msg", {}), ("idx", "0"), ("layout", 7)],
+    )
+    def test_ill_typed_descriptor_field_rejected(self, field, value):
+        flow = Flow(f"t-ill-{field}", "n0", "n1")
+        _, packet = _sent_packet(flow)
+        mirror = self._pair(flow)
+        with pytest.raises(WireError):
+            mirror.packet_from_frame(_reframed(packet, field, value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        field=st.sampled_from(
+            ["flow", "msg", "idx", "layout", "submit", "seq", "ctx"]
+        ),
+        value=_json_values,
+    )
+    def test_any_descriptor_field_swap_verifies_or_raises(self, field, value):
+        """Whatever JSON a CRC-valid frame carries in one descriptor
+        field, the receiver returns a verified packet or raises a typed
+        error — never a raw TypeError/ValueError."""
+        flow = Flow("t-swap", "n0", "n1")
+        _, packet = _sent_packet(flow)
+        mirror = self._pair(flow)
+        try:
+            rebuilt = mirror.packet_from_frame(_reframed(packet, field, value))
+        except ReproError:
+            return
+        assert len(rebuilt.segments) == 1
+        assert mirror.bytes_verified == rebuilt.segments[0].length == 128
+        assert mirror.corrupt_slices == 0
 
     def test_non_fragment_payload_rejected(self):
         packet = WirePacket(
